@@ -64,6 +64,9 @@ pub struct Outcome {
     pub status: u16,
     pub body: String,
     pub error: Option<String>,
+    /// Never sent: the generator gave up on it (it still counts as a
+    /// failed request in its step's latency).
+    pub unsent: bool,
     /// Status and body of the follow-up request, when one was sent.
     pub follow: Option<(u16, String)>,
 }
@@ -270,7 +273,8 @@ pub fn run_open_loop(
                         std::thread::sleep(due - now);
                     }
                     let sent = Instant::now();
-                    let result = if sent > start + give_up {
+                    let unsent = sent > start + give_up;
+                    let result = if unsent {
                         Err(io::Error::new(
                             io::ErrorKind::TimedOut,
                             "not sent: generator gave up",
@@ -289,6 +293,7 @@ pub fn run_open_loop(
                             ..Outcome::default()
                         },
                     };
+                    outcome.unsent = unsent;
                     outcome.due_ns = since(due);
                     outcome.sent_ns = since(sent);
                     outcome.done_ns = since(Instant::now());
@@ -464,8 +469,10 @@ mod tests {
             Duration::from_millis(100),
             || {},
         );
-        assert_eq!(out[0].status, 200);
-        assert!(out[1..].iter().all(|o| o.status == 0 && o.error.is_some()));
+        assert!(out[0].status == 200 && !out[0].unsent);
+        assert!(out[1..]
+            .iter()
+            .all(|o| o.status == 0 && o.error.is_some() && o.unsent));
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! address-space cap, its readiness, and its `/proc` status.
 
 use crate::loadgen::{Client, Request};
+use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a server may take to report its address and turn healthy.
@@ -13,6 +16,8 @@ const START_TIMEOUT: Duration = Duration::from_secs(120);
 /// A running `banks serve`.
 pub struct Server {
     child: Child,
+    /// Copies the server's stderr to its log file until the server ends.
+    drain: Option<JoinHandle<()>>,
     pub addr: SocketAddr,
     /// Spawn to first `200` from `/health`.
     pub setup: Duration,
@@ -53,12 +58,13 @@ impl ProcStatus {
 
 impl Server {
     /// Spawn `bin serve <args> --addr 127.0.0.1:0` under `ulimit -v
-    /// cap_kib` (core dumps off), wait for the address it reports on
-    /// stderr, then for `/health` to answer 200.
+    /// cap_kib` (core dumps off), block on its stderr until it reports
+    /// its address, then wait for `/health` to answer 200. The stderr is
+    /// copied to `log`.
     pub fn start(bin: &Path, args: &[String], cap_kib: u64, log: &Path) -> Result<Server, String> {
-        let started = Instant::now();
-        let log_file =
+        let mut log_file =
             std::fs::File::create(log).map_err(|e| format!("create {}: {e}", log.display()))?;
+        let started = Instant::now();
         let mut child = Command::new("sh")
             .arg("-c")
             .arg(format!(
@@ -69,44 +75,54 @@ impl Server {
             .args(["--addr", "127.0.0.1:0"])
             .stdin(Stdio::null())
             .stdout(Stdio::null())
-            .stderr(log_file)
+            .stderr(Stdio::piped())
             .spawn()
             .map_err(|e| format!("spawn {}: {e}", bin.display()))?;
-        let addr = loop {
-            if let Some(addr) = std::fs::read_to_string(log)
-                .ok()
-                .and_then(|text| reported_addr(&text))
-            {
-                break addr;
+        let stderr = child.stderr.take().expect("stderr is piped");
+        let (tx, rx) = mpsc::channel();
+        let drain = std::thread::spawn(move || {
+            let mut tx = Some(tx);
+            let mut reader = BufReader::new(stderr);
+            let mut line = String::new();
+            while matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+                let _ = log_file.write_all(line.as_bytes());
+                if let Some(addr) = reported_addr(&line) {
+                    if let Some(tx) = tx.take() {
+                        let _ = tx.send(addr);
+                    }
+                }
+                line.clear();
             }
-            if let Ok(Some(status)) = child.try_wait() {
-                let text = std::fs::read_to_string(log).unwrap_or_default();
-                return Err(format!("server exited ({status}) before serving:\n{text}"));
-            }
-            if started.elapsed() > START_TIMEOUT {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err("server did not report an address in time".into());
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        });
+        let mut server = Server {
+            child,
+            drain: Some(drain),
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+            setup: Duration::ZERO,
         };
-        let mut client = Client::new(addr, Duration::from_secs(5));
+        // The channel closes without an address when the server exits
+        // before serving.
+        server.addr = match rx.recv_timeout(START_TIMEOUT) {
+            Ok(addr) => addr,
+            Err(e) => {
+                server.kill();
+                let text = std::fs::read_to_string(log).unwrap_or_default();
+                return Err(format!("server reported no address ({e}):\n{text}"));
+            }
+        };
+        let mut client = Client::new(server.addr, Duration::from_secs(5));
         loop {
             if matches!(client.send(&Request::get("/health")), Ok((200, _))) {
                 break;
             }
-            if started.elapsed() > START_TIMEOUT {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err("server did not turn healthy in time".into());
+            if started.elapsed() > START_TIMEOUT || server.exited() {
+                server.kill();
+                return Err("server did not turn healthy".into());
             }
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(Duration::from_micros(200));
         }
-        Ok(Server {
-            child,
-            addr,
-            setup: started.elapsed(),
-        })
+        server.setup = started.elapsed();
+        Ok(server)
     }
 
     pub fn pid(&self) -> u32 {
@@ -143,6 +159,9 @@ impl Server {
     fn kill(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+        if let Some(drain) = self.drain.take() {
+            let _ = drain.join();
+        }
     }
 }
 

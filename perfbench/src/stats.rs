@@ -37,6 +37,40 @@ pub fn percentile(values: &[f64], pm: u32) -> f64 {
     percentile_sorted(&sorted, pm)
 }
 
+/// One ladder step as run: its rate, the rate of reads it answered, its
+/// read tail latency, and whether it met the limit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepResult {
+    pub rate: f64,
+    pub achieved: f64,
+    pub tail_ms: f64,
+    pub pass: bool,
+}
+
+/// The rate at which the read tail crosses `limit_ms`, from ladder steps
+/// in ascending rate order: between the last passing step and the first
+/// failing one, interpolated linearly in log rate against log tail. When
+/// every step passes, the rate the top step answered; when the first
+/// fails, its rate scaled down by how far its tail overshot.
+pub fn crossing_rate(steps: &[StepResult], limit_ms: f64) -> f64 {
+    let Some(j) = steps.iter().position(|s| !s.pass) else {
+        return steps.last().map_or(0.0, |s| s.achieved);
+    };
+    let fail = steps[j];
+    let over = fail.tail_ms.max(limit_ms);
+    if j == 0 {
+        return fail.rate * limit_ms / over;
+    }
+    let pass = steps[j - 1];
+    let under = pass.tail_ms.clamp(f64::MIN_POSITIVE, limit_ms);
+    let f = if over > under {
+        ((limit_ms / under).ln() / (over / under).ln()).clamp(0.0, 1.0)
+    } else {
+        1.0
+    };
+    pass.rate * (fail.rate / pass.rate).powf(f)
+}
+
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         0.0
@@ -170,6 +204,41 @@ mod tests {
         assert_eq!(highest_supported(200, 990), Some(950));
         assert_eq!(highest_supported(20, 990), Some(500));
         assert_eq!(highest_supported(19, 990), None);
+    }
+
+    #[test]
+    fn crossing_rate_interpolates_between_pass_and_fail() {
+        let step = |rate, tail_ms, pass| StepResult {
+            rate,
+            achieved: rate * 0.9,
+            tail_ms,
+            pass,
+        };
+        // Tail 10 ms at 100 req/s, 1000 ms at 200 req/s, limit 100 ms:
+        // half-way in log tail, so half-way in log rate.
+        let steps = [step(100.0, 10.0, true), step(200.0, 1000.0, false)];
+        let r = crossing_rate(&steps, 100.0);
+        assert!((r - 100.0 * 2f64.sqrt()).abs() < 1e-9, "{r}");
+        // Continuous across the pass/fail boundary of a step.
+        let barely_fails = [step(100.0, 10.0, true), step(125.0, 100.001, false)];
+        let barely_passes = [
+            step(100.0, 10.0, true),
+            step(125.0, 99.999, true),
+            step(156.25, 10_000.0, false),
+        ];
+        let (a, b) = (
+            crossing_rate(&barely_fails, 100.0),
+            crossing_rate(&barely_passes, 100.0),
+        );
+        assert!(
+            (a - 125.0).abs() < 0.01 && (b - 125.0).abs() < 0.01,
+            "{a} {b}"
+        );
+        // Every step passes: the rate the top one answered. The first
+        // fails: scaled down.
+        assert_eq!(crossing_rate(&steps[..1], 100.0), 90.0);
+        assert_eq!(crossing_rate(&[step(100.0, 400.0, false)], 100.0), 25.0);
+        assert_eq!(crossing_rate(&[], 100.0), 0.0);
     }
 
     #[test]

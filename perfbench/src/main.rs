@@ -444,8 +444,9 @@ fn run(spec: &Spec, args: &Args, work: &Path) -> Result<String, String> {
     let (mut reads, mut writes): (Vec<Query>, Vec<WriteBatch>) = (Vec::new(), Vec::new());
 
     phase(started, "set-up");
-    // Set-up: cold starts, half of them now (the last one serves the run)
-    // and half after it, so `setup_s` samples the host at both ends.
+    // Set-up: the first `SETUPS_BEFORE` cold starts (the last one serves
+    // the run); the rest follow the ladder's steps and the server's stop,
+    // so `setup_s` samples the host across the run.
     let start = |i: usize| {
         Server::start(
             &args.server_bin,

@@ -3,7 +3,7 @@
 //! prototype at 100K nodes).
 //!
 //! Cold latency is measured the way a server worker runs: uncached, on a
-//! persistent per-worker [`banks_core::SearchArena`], so the dense
+//! persistent per-worker [`banks_core::SearchArena`], so the pooled
 //! Dijkstra states and cross-product scratch are recycled across
 //! iterations instead of reallocated. Warm latency goes through the
 //! `banks-server` result cache. Besides the stdout report, the bench

@@ -401,13 +401,34 @@ mod tests {
         .unwrap()
     }
 
+    /// Read one whole request, head and `Content-Length` body. A canned
+    /// server that closes with request bytes still unread makes the
+    /// kernel reset the connection, and the client can then lose the
+    /// response it was about to read.
+    fn drain_request(stream: &std::net::TcpStream) {
+        use std::io::{BufRead, Read};
+        let mut reader = std::io::BufReader::new(stream);
+        let mut length = 0;
+        loop {
+            let mut line = String::new();
+            if reader.read_line(&mut line).unwrap_or(0) == 0 || line == "\r\n" {
+                break;
+            }
+            if let Some((name, value)) = line.split_once(':') {
+                if name.eq_ignore_ascii_case("content-length") {
+                    length = value.trim().parse().unwrap_or(0);
+                }
+            }
+        }
+        let _ = reader.take(length).read_to_end(&mut Vec::new());
+    }
+
     /// Serve exactly one canned HTTP response on `listener`.
     fn answer_once(listener: std::net::TcpListener, status: &'static str, body: &'static str) {
         std::thread::spawn(move || {
-            use std::io::{Read, Write};
+            use std::io::Write;
             let (mut stream, _) = listener.accept().unwrap();
-            let mut buf = [0u8; 4096];
-            let _ = stream.read(&mut buf);
+            drain_request(&stream);
             let _ = write!(
                 stream,
                 "HTTP/1.1 {status}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -427,7 +448,23 @@ mod tests {
         let rebind = addr.clone();
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(60));
-            let listener = std::net::TcpListener::bind(&rebind).unwrap();
+            // Another test may briefly hold the released port. Keep
+            // trying for a bounded window: the client's retries span
+            // ~2 s (four jittered backoffs from 200 ms), so a listener
+            // up within 500 ms still answers one of them.
+            let deadline = std::time::Instant::now() + Duration::from_millis(500);
+            let listener = loop {
+                match std::net::TcpListener::bind(&rebind) {
+                    Ok(listener) => break listener,
+                    Err(e)
+                        if e.kind() == std::io::ErrorKind::AddrInUse
+                            && std::time::Instant::now() < deadline =>
+                    {
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                    Err(e) => panic!("rebind {rebind}: {e}"),
+                }
+            };
             answer_once(listener, "200 OK", "epoch 1 published");
         });
         let out = post_to_server(&addr, &tiny_batch(), "t0").unwrap();
@@ -441,11 +478,10 @@ mod tests {
         responses: Vec<(&'static str, &'static str, Option<&'static str>)>,
     ) {
         std::thread::spawn(move || {
-            use std::io::{Read, Write};
+            use std::io::Write;
             for (status, body, retry_after) in responses {
                 let (mut stream, _) = listener.accept().unwrap();
-                let mut buf = [0u8; 4096];
-                let _ = stream.read(&mut buf);
+                drain_request(&stream);
                 let extra = retry_after
                     .map(|v| format!("Retry-After: {v}\r\n"))
                     .unwrap_or_default();

@@ -7,8 +7,9 @@
 //! the cross product `{o} × Π_{j≠i} u.Lⱼ` enumerates exactly the new
 //! connection trees rooted at `u`, after which `o` joins `u.Lᵢ`.
 //!
-//! The kernel runs on a [`SearchArena`]: dense epoch-stamped Dijkstra
-//! states, the `u.Lᵢ` lists flattened into a linked-entry pool, and
+//! The kernel runs on a [`SearchArena`]: pooled Dijkstra states that
+//! hold only the nodes each iterator reached, the `u.Lᵢ` lists flattened
+//! into a linked-entry pool, and
 //! reused cross-product scratch — plus exact top-k early termination
 //! (the `EarlyStop` bound documented on
 //! [`crate::score::Scorer::max_relevance_for_weight`]).
@@ -188,11 +189,10 @@ fn sequential_backward_search(
     excluded_roots: &FxHashSet<u32>,
 ) -> SearchOutcome {
     let graph = tuple_graph.graph();
-    let n_nodes = graph.node_count();
     let n_terms = keyword_sets.len();
 
     // One reverse-direction Dijkstra per keyword node, each running on a
-    // pooled dense state block.
+    // pooled state block.
     let total_origins: usize = keyword_sets.iter().map(|s| s.len()).sum();
     let mut iterators: Vec<Dijkstra<'_>> = Vec::with_capacity(total_origins);
     let mut infos: Vec<(usize, NodeId)> = Vec::with_capacity(total_origins);
@@ -206,7 +206,7 @@ fn sequential_backward_search(
             let (iterator, handicap) = make_iterator(
                 graph,
                 origin,
-                arena.checkout(n_nodes),
+                arena.checkout(),
                 scorer,
                 config,
                 prestige_handicap,
@@ -896,6 +896,78 @@ mod tests {
         }
         let (_, reuses) = arena.state_counters();
         assert!(reuses > 0, "later queries reuse pooled states");
+    }
+
+    #[test]
+    fn retained_arena_memory_follows_visited_nodes_not_graph_size() {
+        // A 100k-node graph of two-node components: one Doc and the Note
+        // that references it. Each origin reaches only its own component,
+        // so the arena must retain memory for a handful of nodes per
+        // iterator, never a block sized by the graph (which, kept for
+        // each of 32 pooled states, would pin ~77 MB here).
+        const DOCS: usize = 50_000;
+        let mut db = Database::new("sparse");
+        db.create_relation(
+            RelationSchema::builder("Doc")
+                .column("Id", ColumnType::Text)
+                .primary_key(&["Id"])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        db.create_relation(
+            RelationSchema::builder("Note")
+                .column("Id", ColumnType::Text)
+                .column("DocId", ColumnType::Text)
+                .primary_key(&["Id"])
+                .foreign_key(&["DocId"], "Doc")
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        for id in 0..DOCS {
+            let id = Value::text(id.to_string());
+            db.insert("Doc", vec![id.clone()]).unwrap();
+            db.insert("Note", vec![id.clone(), id]).unwrap();
+        }
+        let tg = TupleGraph::build(&db, &GraphConfig::default()).unwrap();
+        assert_eq!(tg.node_count(), 2 * DOCS);
+        let node = |relation: &str, id: usize| {
+            let rid = db
+                .relation(relation)
+                .unwrap()
+                .lookup_pk(&[Value::text(id.to_string())])
+                .unwrap();
+            tg.node(rid).unwrap()
+        };
+        // 64 origins, spread across the graph: 32 Docs and their Notes.
+        let ids: Vec<usize> = (0..32).map(|i| i * (DOCS / 32)).collect();
+        let sets = vec![
+            ids.iter().map(|&id| node("Doc", id)).collect::<Vec<_>>(),
+            ids.iter().map(|&id| node("Note", id)).collect::<Vec<_>>(),
+        ];
+        let scorer = Scorer::new(tg.graph(), ScoreParams::default());
+        let config = SearchConfig::default();
+        let mut arena = SearchArena::new();
+        for _ in 0..2 {
+            let outcome = backward_search_in(
+                &mut arena,
+                &tg,
+                &scorer,
+                &sets,
+                &config,
+                &FxHashSet::default(),
+            );
+            assert!(
+                !outcome.answers.is_empty(),
+                "each Doc roots a Doc–Note tree"
+            );
+            assert!(
+                outcome.stats.arena_retained_bytes < 1 << 20,
+                "arena retains {} bytes for 64 two-node expansions",
+                outcome.stats.arena_retained_bytes
+            );
+        }
     }
 
     #[test]

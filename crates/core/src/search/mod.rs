@@ -3,8 +3,10 @@
 //!
 //! Both algorithms run on reusable scratch memory: callers that serve
 //! many queries thread a [`SearchArena`] through the `*_in` entry points
-//! so the kernel's dense Dijkstra states, origin lists and cross-product
-//! buffers are recycled instead of reallocated per query.
+//! so the kernel's Dijkstra states, origin lists and cross-product
+//! buffers are recycled instead of reallocated per query. Each Dijkstra
+//! state holds records only for the nodes its iterator reaches, so a
+//! query's memory follows its visited set, not the graph's size.
 
 pub mod backward;
 pub mod forward;

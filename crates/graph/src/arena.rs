@@ -6,11 +6,11 @@
 //! node. A [`SearchArena`] makes the whole expansion allocation-free in
 //! steady state:
 //!
-//! * [`DijkstraState`] — dense `dist`/`parent`/settled arrays of length
-//!   `n_nodes`, validity-tracked by an **epoch stamp** per slot: "clearing"
-//!   the state for the next iterator or query is a single generation-counter
-//!   bump, not a rehash or a `memset`. The distance queue is a recycled
-//!   4-ary heap ([`crate::heap::DistHeap`]).
+//! * [`DijkstraState`] — one iterator's `dist`/`parent`/settled records,
+//!   kept in a node → record map that holds only the nodes the iterator
+//!   reached, so its size and reset cost follow the (small) visited set,
+//!   not the graph. The distance queue is a recycled 4-ary heap
+//!   ([`crate::heap::DistHeap`]).
 //! * [`OriginListPool`] — the per-node, per-term origin lists (`u.Lᵢ` in
 //!   the paper) flattened into one entry pool of forward-linked lists, so
 //!   visiting a node allocates nothing.
@@ -18,138 +18,121 @@
 //!   buffers the cross-product enumerator reuses across connection trees.
 //!
 //! A server worker keeps one arena for its lifetime; `checkout`/`recycle`
-//! hand dense states to iterators and take them back when a query ends.
-//! States resize themselves when the graph grows or shrinks across
-//! snapshot epochs, so one arena safely outlives live-ingestion publishes.
+//! hand states to iterators and take them back when a query ends. A
+//! state holds nothing sized by the graph, so one arena safely outlives
+//! live-ingestion publishes that grow or shrink it.
 
 use crate::fxhash::FxHashMap;
 use crate::graph::NodeId;
 use crate::heap::DistHeap;
+use std::collections::hash_map::Entry;
 
 /// Sentinel for "no parent" / "no list entry" — the terminator
 /// [`OriginListPool::head`] and [`OriginListPool::next`] return.
 pub const NIL: u32 = u32::MAX;
 
-/// Dense epoch-stamped single-source shortest-path state.
-///
-/// A slot's `dist`/`parent` are meaningful only while its stamp equals the
-/// current epoch; bumping the epoch invalidates every slot at once.
-#[derive(Debug, Clone)]
-pub struct DijkstraState {
-    /// Current generation; stamps equal to it are live.
-    epoch: u32,
-    /// `touched[n] == epoch` ⇒ `dist[n]`/`parent[n]` are valid.
-    touched: Vec<u32>,
-    /// `settled[n] == epoch` ⇒ `dist[n]` is final.
-    settled: Vec<u32>,
-    /// Tentative (or, once settled, final) distance per node.
-    dist: Vec<f64>,
-    /// Best-path predecessor per node ([`NIL`] for the origin).
-    parent: Vec<u32>,
+/// What one iterator knows about one node it has reached.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeRecord {
+    /// Tentative (or, once settled, final) distance from the origin.
+    pub(crate) dist: f64,
+    /// Best-path predecessor ([`NIL`] for the origin).
+    pub(crate) parent: u32,
     /// CSR slot (in the traversal direction's adjacency arrays) of the
     /// edge that set `parent` — path reconstruction reads the exact edge
     /// weight (and its precomputed score) straight out of the CSR
     /// instead of re-deriving it from a distance difference.
-    parent_slot: Vec<u32>,
+    pub(crate) parent_slot: u32,
+    /// `dist` is final.
+    pub(crate) settled: bool,
+}
+
+/// Single-source shortest-path state of one iterator, holding a record
+/// only for the nodes that iterator has reached.
+///
+/// Memory and reset cost grow with the nodes touched, not with the
+/// graph: a backward-search iterator typically settles a few dozen nodes
+/// of a graph of millions, and one state serves any graph — it carries
+/// nothing sized by a node count across ingestion epochs.
+#[derive(Debug, Clone, Default)]
+pub struct DijkstraState {
+    /// node id → what this iterator knows about it.
+    nodes: FxHashMap<u32, NodeRecord>,
     /// The distance queue (recycled allocation).
     pub(crate) heap: DistHeap,
     settled_count: usize,
 }
 
 impl DijkstraState {
-    /// Fresh state for a graph of `n_nodes` nodes.
-    pub fn new(n_nodes: usize) -> DijkstraState {
-        DijkstraState {
-            epoch: 1,
-            touched: vec![0; n_nodes],
-            settled: vec![0; n_nodes],
-            dist: vec![0.0; n_nodes],
-            parent: vec![NIL; n_nodes],
-            parent_slot: vec![NIL; n_nodes],
-            heap: DistHeap::new(),
-            settled_count: 0,
-        }
+    /// An empty state; it allocates as its iterator reaches nodes.
+    pub fn new() -> DijkstraState {
+        DijkstraState::default()
     }
 
-    /// Invalidate every slot and empty the queue — an epoch bump, except
-    /// when the graph size changed (live ingestion published a new
-    /// snapshot) or the 32-bit generation wrapped, when the stamp arrays
-    /// are rebuilt.
-    pub(crate) fn reset(&mut self, n_nodes: usize) {
+    /// Forget every record and empty the queue, keeping the allocations.
+    pub(crate) fn reset(&mut self) {
+        self.nodes.clear();
         self.heap.clear();
         self.settled_count = 0;
-        if self.touched.len() != n_nodes {
-            self.touched.clear();
-            self.touched.resize(n_nodes, 0);
-            self.settled.clear();
-            self.settled.resize(n_nodes, 0);
-            self.dist.resize(n_nodes, 0.0);
-            self.parent.resize(n_nodes, NIL);
-            self.parent_slot.resize(n_nodes, NIL);
-            self.epoch = 1;
-        } else if self.epoch == u32::MAX {
-            self.touched.fill(0);
-            self.settled.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
     }
 
-    /// Number of node slots (must equal the graph's node count in use).
-    pub fn capacity(&self) -> usize {
-        self.touched.len()
-    }
-
+    /// The record of a settled node (`None` if unreached or tentative).
     #[inline]
-    pub(crate) fn is_touched(&self, n: u32) -> bool {
-        self.touched[n as usize] == self.epoch
+    pub(crate) fn settled(&self, n: u32) -> Option<&NodeRecord> {
+        self.nodes.get(&n).filter(|r| r.settled)
     }
 
     #[inline]
     pub(crate) fn is_settled(&self, n: u32) -> bool {
-        self.settled[n as usize] == self.epoch
+        self.settled(n).is_some()
     }
 
-    /// Record a (new or improved) tentative distance. `slot` is the CSR
-    /// slot of the relaxed edge ([`NIL`] for the origin).
+    /// Record (or replace) the origin's start distance; the origin has
+    /// no parent edge.
+    pub(crate) fn start(&mut self, origin: u32, dist: f64) {
+        self.nodes.insert(
+            origin,
+            NodeRecord {
+                dist,
+                parent: NIL,
+                parent_slot: NIL,
+                settled: false,
+            },
+        );
+    }
+
+    /// Edge relaxation in one lookup: record `dist` for `n` if `n` is
+    /// unreached, or unsettled and `dist` improves on its tentative
+    /// distance. Returns whether it did (the caller then queues `n`).
     #[inline]
-    pub(crate) fn touch(&mut self, n: u32, dist: f64, parent: u32, slot: u32) {
-        let i = n as usize;
-        self.touched[i] = self.epoch;
-        self.dist[i] = dist;
-        self.parent[i] = parent;
-        self.parent_slot[i] = slot;
+    pub(crate) fn relax(&mut self, n: u32, dist: f64, parent: u32, slot: u32) -> bool {
+        let record = NodeRecord {
+            dist,
+            parent,
+            parent_slot: slot,
+            settled: false,
+        };
+        match self.nodes.entry(n) {
+            Entry::Vacant(e) => {
+                e.insert(record);
+                true
+            }
+            Entry::Occupied(mut e) => {
+                let better = !e.get().settled && dist < e.get().dist;
+                if better {
+                    e.insert(record);
+                }
+                better
+            }
+        }
     }
 
-    /// Mark a node's distance final.
+    /// Mark a reached node's distance final.
     #[inline]
     pub(crate) fn settle(&mut self, n: u32) {
-        debug_assert!(self.is_touched(n), "settling an untouched node");
-        self.settled[n as usize] = self.epoch;
+        let record = self.nodes.get_mut(&n).expect("settling an unreached node");
+        record.settled = true;
         self.settled_count += 1;
-    }
-
-    /// Distance of a touched node (valid only when its stamp is live).
-    #[inline]
-    pub(crate) fn dist_of(&self, n: u32) -> f64 {
-        debug_assert!(self.is_touched(n));
-        self.dist[n as usize]
-    }
-
-    /// Parent of a touched node ([`NIL`] for the origin).
-    #[inline]
-    pub(crate) fn parent_of(&self, n: u32) -> u32 {
-        debug_assert!(self.is_touched(n));
-        self.parent[n as usize]
-    }
-
-    /// CSR slot of the edge that set a touched node's parent ([`NIL`]
-    /// for the origin).
-    #[inline]
-    pub(crate) fn parent_slot_of(&self, n: u32) -> u32 {
-        debug_assert!(self.is_touched(n));
-        self.parent_slot[n as usize]
     }
 
     #[inline]
@@ -157,22 +140,22 @@ impl DijkstraState {
         self.settled_count
     }
 
-    /// Apply the recycle-time shrink policy to the distance queue. Any
-    /// queued entries are dead at recycle time (the next checkout
-    /// `reset`s the state), so they are dropped before shrinking.
-    pub(crate) fn shrink_queue(&mut self, max_entries: usize) {
-        self.heap.clear();
+    /// Recycle-time shrink policy: drop the records and queued entries
+    /// (all dead — the next checkout starts afresh) and clamp both
+    /// buffers to `max_entries`, so one broad iterator does not pin its
+    /// high-water mark in a pooled state forever.
+    pub(crate) fn shrink(&mut self, max_entries: usize) {
+        self.reset();
+        if self.nodes.capacity() > max_entries {
+            self.nodes.shrink_to(max_entries);
+        }
         self.heap.shrink_to_entries(max_entries);
     }
 
-    /// Bytes this state block retains (dense arrays + queue buffer).
+    /// Bytes this state retains (record table + queue buffer).
     pub fn retained_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.touched.capacity() * size_of::<u32>()
-            + self.settled.capacity() * size_of::<u32>()
-            + self.dist.capacity() * size_of::<f64>()
-            + self.parent.capacity() * size_of::<u32>()
-            + self.parent_slot.capacity() * size_of::<u32>()
+        // One control byte per bucket beside each (key, record) slot.
+        self.nodes.capacity() * (std::mem::size_of::<(u32, NodeRecord)>() + 1)
             + self.heap.retained_bytes()
     }
 }
@@ -378,7 +361,7 @@ impl ShardArena {
     pub const MAX_IDLE_STATES: usize = 8;
 
     /// Take a block, reusing an idle one when available.
-    pub fn checkout(&mut self, n_nodes: usize) -> DijkstraState {
+    pub fn checkout(&mut self) -> DijkstraState {
         match self.idle.pop() {
             Some(state) => {
                 self.states_reused += 1;
@@ -386,16 +369,16 @@ impl ShardArena {
             }
             None => {
                 self.states_created += 1;
-                DijkstraState::new(n_nodes)
+                DijkstraState::new()
             }
         }
     }
 
-    /// Return a block (dropped once the pool is full; the retained
-    /// queue buffer is clamped by the shrink policy).
+    /// Return a block (dropped once the pool is full; its retained
+    /// buffers are clamped by the shrink policy).
     pub fn recycle(&mut self, mut state: DijkstraState) {
         if self.idle.len() < Self::MAX_IDLE_STATES {
-            state.shrink_queue(SearchArena::RETAINED_HEAP_ENTRIES);
+            state.shrink(SearchArena::RETAINED_HEAP_ENTRIES);
             self.idle.push(state);
         }
     }
@@ -515,19 +498,17 @@ impl DeadlineToken {
 ///
 /// Owns idle [`DijkstraState`] blocks plus the kernel's origin-list and
 /// cross-product buffers. One arena serves one thread at a time; a server
-/// gives each worker thread its own persistent arena, and the blocks
-/// adapt to graph-size changes across ingestion epochs on checkout.
+/// gives each worker thread its own persistent arena, and its states serve
+/// any graph, so the arena outlives ingestion epochs unchanged.
 ///
-/// **Memory trade.** A dense block costs ~20 bytes × `n_nodes`, and the
-/// backward search checks out one per keyword origin — O(origins ×
-/// nodes) transiently, where the old hash-map kernel grew only with
-/// visited nodes. That is the right trade for selective keyword sets
-/// (the backward-search regime); terms matching thousands of tuples
-/// should run the §7 forward strategy, which uses two blocks total
-/// regardless of set size. So that one broad query cannot permanently
-/// inflate a long-lived worker, the idle pool retains at most
-/// [`SearchArena::MAX_IDLE_STATES`] blocks — excess blocks are freed on
-/// recycle.
+/// **Memory.** The backward search checks out one state per keyword
+/// origin, and each state grows only with the nodes its iterator
+/// reaches — a query costs O(visited) across its iterators, whatever
+/// the graph's size. So that one broad query cannot permanently inflate
+/// a long-lived worker, the idle pool retains at most
+/// [`SearchArena::MAX_IDLE_STATES`] states, each clamped to
+/// [`SearchArena::RETAINED_HEAP_ENTRIES`] records and queue entries;
+/// excess states are freed on recycle.
 #[derive(Debug, Default)]
 pub struct SearchArena {
     /// Per-query trace spans. Disabled by default (one branch per probe
@@ -556,10 +537,9 @@ impl SearchArena {
         SearchArena::default()
     }
 
-    /// Take a dense state block for a graph of `n_nodes` nodes, reusing an
-    /// idle block when one exists. The block is epoch-reset (and resized
-    /// if the graph changed) by [`crate::Dijkstra::new_in`].
-    pub fn checkout(&mut self, n_nodes: usize) -> DijkstraState {
+    /// Take a state block, reusing an idle one when one exists. The
+    /// block is reset by [`crate::Dijkstra::new_in`].
+    pub fn checkout(&mut self) -> DijkstraState {
         match self.idle.pop() {
             Some(state) => {
                 self.states_reused += 1;
@@ -567,19 +547,20 @@ impl SearchArena {
             }
             None => {
                 self.states_created += 1;
-                DijkstraState::new(n_nodes)
+                DijkstraState::new()
             }
         }
     }
 
     /// Blocks the idle pool retains; recycling beyond this frees the
     /// block instead, bounding a worker's steady-state footprint at
-    /// ~20 bytes × nodes × this cap even after one query with an
-    /// unusually broad keyword set.
+    /// this cap × the per-state clamp below, even after one query with
+    /// an unusually broad keyword set.
     pub const MAX_IDLE_STATES: usize = 32;
 
-    /// Distance-queue entries a recycled block keeps (the shrink policy
-    /// of [`DistHeap::shrink_to_entries`]): ~16 K entries ≈ 256 KiB.
+    /// Node records and distance-queue entries a recycled block keeps
+    /// (the shrink policy of [`DistHeap::shrink_to_entries`]): ~16 K of
+    /// each, ≈ 256 KiB of queue plus about 1 MiB of records.
     pub const RETAINED_HEAP_ENTRIES: usize = 1 << 14;
 
     /// Origin-list pool entries retained between queries (~512 KiB).
@@ -591,11 +572,11 @@ impl SearchArena {
     /// Pooled merge maps retained between queries.
     pub const RETAINED_MERGE_MAPS: usize = 64;
 
-    /// Return a block to the pool (dropped once the pool is full; the
-    /// retained distance-queue buffer is clamped by the shrink policy).
+    /// Return a block to the pool (dropped once the pool is full; its
+    /// retained buffers are clamped by the shrink policy).
     pub fn recycle(&mut self, mut state: DijkstraState) {
         if self.idle.len() < Self::MAX_IDLE_STATES {
-            state.shrink_queue(Self::RETAINED_HEAP_ENTRIES);
+            state.shrink(Self::RETAINED_HEAP_ENTRIES);
             self.idle.push(state);
         }
     }
@@ -654,43 +635,47 @@ mod tests {
     use super::*;
 
     #[test]
-    fn epoch_bump_invalidates_without_clearing() {
-        let mut s = DijkstraState::new(4);
-        s.touch(2, 1.5, 0, 0);
+    fn reset_forgets_every_record() {
+        let mut s = DijkstraState::new();
+        s.start(2, 1.5);
         s.settle(2);
-        assert!(s.is_touched(2) && s.is_settled(2));
-        s.reset(4);
-        assert!(!s.is_touched(2) && !s.is_settled(2));
+        assert!(s.is_settled(2));
+        s.reset();
+        assert!(!s.is_settled(2));
         assert_eq!(s.settled_count(), 0);
-        // Stale payloads are unreachable until re-touched.
-        s.touch(2, 9.0, NIL, NIL);
-        assert_eq!(s.dist_of(2), 9.0);
+        // A forgotten node relaxes as if never reached.
+        assert!(s.relax(2, 9.0, NIL, NIL));
+        assert!(!s.relax(2, 9.5, NIL, NIL), "no improvement");
+        s.settle(2);
+        assert_eq!(s.settled(2).map(|r| r.dist), Some(9.0));
+        assert!(!s.relax(2, 1.0, NIL, NIL), "settled is final");
     }
 
     #[test]
-    fn reset_resizes_for_a_grown_graph() {
-        let mut s = DijkstraState::new(2);
-        s.touch(1, 3.0, 0, 0);
-        s.reset(5);
-        assert_eq!(s.capacity(), 5);
-        assert!(!s.is_touched(1));
-        s.touch(4, 1.0, NIL, NIL);
-        assert!(s.is_touched(4));
-        // Shrink is equally safe.
-        s.reset(3);
-        assert_eq!(s.capacity(), 3);
-    }
+    fn one_state_serves_a_grown_graph() {
+        // The ingest-epoch contract: a worker's pooled state, used on one
+        // snapshot, must serve the next, larger one.
+        use crate::{Dijkstra, Direction, GraphBuilder};
+        let mut b = GraphBuilder::new();
+        let n0 = b.add_node(1.0);
+        let n1 = b.add_node(1.0);
+        b.add_edge(n0, n1, 1.0);
+        let small = b.build();
+        let mut arena = SearchArena::new();
+        let mut it = Dijkstra::new_in(&small, n0, Direction::Forward, arena.checkout());
+        assert_eq!(it.by_ref().count(), 2);
+        arena.recycle(it.into_state());
 
-    #[test]
-    fn epoch_wrap_rebuilds_stamps() {
-        let mut s = DijkstraState::new(2);
-        s.epoch = u32::MAX - 1;
-        s.touched[0] = u32::MAX; // would collide after a naive bump
-        s.reset(2);
-        assert_eq!(s.epoch, u32::MAX);
-        s.reset(2);
-        assert_eq!(s.epoch, 1, "wrap resets the generation");
-        assert!(!s.is_touched(0));
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<_> = (0..5).map(|_| b.add_node(1.0)).collect();
+        for w in nodes.windows(2) {
+            b.add_edge(w[0], w[1], 1.0);
+        }
+        let grown = b.build();
+        let mut it = Dijkstra::new_in(&grown, nodes[0], Direction::Forward, arena.checkout());
+        let last = it.by_ref().last().expect("origin is always yielded");
+        assert_eq!((last.node, last.dist), (nodes[4], 4.0), "node 4 reachable");
+        assert_eq!(arena.state_counters(), (1, 1), "the one state was reused");
     }
 
     #[test]
@@ -723,13 +708,13 @@ mod tests {
     #[test]
     fn arena_pools_states() {
         let mut a = SearchArena::new();
-        let s1 = a.checkout(10);
-        let s2 = a.checkout(10);
+        let s1 = a.checkout();
+        let s2 = a.checkout();
         assert_eq!(a.state_counters(), (2, 0));
         a.recycle(s1);
         a.recycle(s2);
         assert_eq!(a.pooled_states(), 2);
-        let _s = a.checkout(10);
+        let _s = a.checkout();
         assert_eq!(a.state_counters(), (2, 1));
         assert_eq!(a.pooled_states(), 1);
     }
@@ -738,7 +723,7 @@ mod tests {
     fn idle_pool_is_bounded() {
         let mut a = SearchArena::new();
         let blocks: Vec<_> = (0..SearchArena::MAX_IDLE_STATES + 10)
-            .map(|_| a.checkout(4))
+            .map(|_| a.checkout())
             .collect();
         for b in blocks {
             a.recycle(b);
@@ -752,18 +737,30 @@ mod tests {
 
     #[test]
     fn shard_pools_grow_on_demand_and_pool_independently() {
+        use crate::{Dijkstra, Direction, GraphBuilder};
+        let mut b = GraphBuilder::new();
+        let x = b.add_node(1.0);
+        let y = b.add_node(1.0);
+        b.add_edge(x, y, 1.0);
+        let g = b.build();
+        // A used state retains its record table and queue buffer.
+        let run = |state| {
+            let mut it = Dijkstra::new_in(&g, x, Direction::Forward, state);
+            it.by_ref().for_each(drop);
+            it.into_state()
+        };
         let mut a = SearchArena::new();
         let pools = a.shard_pools(3);
         assert_eq!(pools.len(), 3);
-        let s0 = pools[0].checkout(8);
-        let s1 = pools[1].checkout(8);
+        let s0 = run(pools[0].checkout());
+        let s1 = run(pools[1].checkout());
         pools[0].recycle(s0);
         pools[1].recycle(s1);
         assert_eq!(pools[0].pooled_states(), 1);
         assert_eq!(pools[1].pooled_states(), 1);
         assert_eq!(pools[2].pooled_states(), 0);
         assert_eq!(pools[0].state_counters(), (1, 0));
-        let _warm = pools[0].checkout(8);
+        let _warm = pools[0].checkout();
         assert_eq!(pools[0].state_counters(), (1, 1));
         // Re-request keeps the existing pools (and their contents).
         let pools = a.shard_pools(2);
@@ -777,9 +774,10 @@ mod tests {
         let mut p = ShardArena::default();
         let blocks: Vec<_> = (0..ShardArena::MAX_IDLE_STATES + 4)
             .map(|_| {
-                let mut s = p.checkout(4);
+                let mut s = p.checkout();
                 for i in 0..100_000u32 {
                     s.heap.push(i as f64, i % 4);
+                    s.start(i, i as f64);
                 }
                 s
             })
@@ -788,12 +786,15 @@ mod tests {
             p.recycle(b);
         }
         assert_eq!(p.pooled_states(), ShardArena::MAX_IDLE_STATES);
+        // The record table rounds its clamp up to a power-of-two bucket
+        // count: at most two buckets per retained entry.
+        let record_bytes = 2 * (std::mem::size_of::<(u32, NodeRecord)>() + 1);
         assert!(
             p.retained_bytes()
                 <= ShardArena::MAX_IDLE_STATES
-                    * (DijkstraState::new(4).retained_bytes()
-                        + SearchArena::RETAINED_HEAP_ENTRIES * 16),
-            "recycled queue buffers must be clamped by the shrink policy"
+                    * SearchArena::RETAINED_HEAP_ENTRIES
+                    * (16 + record_bytes),
+            "recycled queue and record buffers must be clamped by the shrink policy"
         );
     }
 

@@ -672,6 +672,7 @@ fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         409 => "Conflict",
         410 => "Gone",
+        413 => "Payload Too Large",
         500 => "Internal Server Error",
         502 => "Bad Gateway",
         503 => "Service Unavailable",
@@ -705,6 +706,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     let mut content_length: u64 = 0;
+    let mut bad_content_length = false;
     loop {
         let mut header = String::new();
         if reader.read_line(&mut header)? == 0 {
@@ -715,19 +717,30 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                // An unparseable length is an error, not a silent 0
+                // that would drop the body.
+                match value.trim().parse() {
+                    Ok(n) => content_length = n,
+                    Err(_) => bad_content_length = true,
+                }
             }
         }
     }
-    let mut body = vec![0u8; content_length.min(MAX_REQUEST_BYTES) as usize];
-    if !body.is_empty() {
-        reader.read_exact(&mut body)?;
-    }
 
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let target = parts.next().unwrap_or("/").to_string();
-    let reply = route(shared, &method, &target, &body);
+    let reply = if bad_content_length {
+        Reply::json(400, r#"{"error":"bad Content-Length header"}"#.to_string())
+    } else if content_length > reader.limit() {
+        // Head and body together must fit the request cap; a larger
+        // body is refused whole rather than forwarded truncated.
+        Reply::json(413, r#"{"error":"request body too large"}"#.to_string())
+    } else {
+        let mut body = vec![0u8; content_length as usize];
+        reader.read_exact(&mut body)?;
+        let mut parts = request_line.split_whitespace();
+        let method = parts.next().unwrap_or("");
+        let target = parts.next().unwrap_or("/");
+        route(shared, method, target, &body)
+    };
 
     let mut stream = stream;
     let mut head = format!(
@@ -1250,6 +1263,37 @@ mod tests {
         let (plan, leader_only) = shared.read_plan(1);
         assert_eq!(plan, vec!["l:1".to_string()]);
         assert!(leader_only);
+    }
+
+    #[test]
+    fn bad_or_oversized_content_length_is_refused_over_loopback() {
+        // No backend is needed: both requests are refused before routing.
+        let router = Router::bind(RouterConfig {
+            leader: "127.0.0.1:1".to_string(),
+            workers: 1,
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let send = |head: String| {
+            let mut stream = TcpStream::connect(router.local_addr()).unwrap();
+            stream.write_all(head.as_bytes()).unwrap();
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).unwrap();
+            reply
+        };
+        let reply = send("POST /ingest HTTP/1.1\r\nContent-Length: 12x\r\n\r\n".to_string());
+        assert!(reply.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{reply}");
+        assert!(reply.contains("bad Content-Length"), "{reply}");
+        let oversized = MAX_REQUEST_BYTES + 1;
+        let reply = send(format!(
+            "POST /ingest HTTP/1.1\r\nContent-Length: {oversized}\r\n\r\n"
+        ));
+        assert!(
+            reply.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
+            "{reply}"
+        );
+        assert_eq!(router.stats().ingests, 0, "neither request was forwarded");
+        router.shutdown();
     }
 
     #[test]

@@ -28,13 +28,13 @@ use std::time::{Duration, Instant};
 
 thread_local! {
     /// One persistent [`SearchArena`] per worker thread: every cache-miss
-    /// search this thread runs reuses the same dense Dijkstra states,
+    /// search this thread runs reuses the same pooled Dijkstra states,
     /// origin-list pool and cross-product scratch, so steady-state
-    /// serving performs no kernel allocations. The arena re-sizes its
-    /// blocks lazily on checkout whenever a published snapshot changed
-    /// the graph's node count (an epoch change), so it needs no explicit
-    /// hook into [`QueryService::install_snapshot`] — which could not
-    /// reach other threads' locals anyway.
+    /// serving rarely allocates in the kernel. A state holds records
+    /// only for the nodes its iterator reached, nothing sized by the
+    /// graph, so the arena serves every published snapshot unchanged and
+    /// needs no hook into [`QueryService::install_snapshot`] — which
+    /// could not reach other threads' locals anyway.
     static WORKER_ARENA: RefCell<SearchArena> = RefCell::new(SearchArena::new());
 }
 
